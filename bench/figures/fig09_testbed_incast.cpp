@@ -2,25 +2,20 @@
 // switches: 4 ToRs x 2 hosts, 2 spines), response size 10KB..1MB.
 // NDP vs TCP, median and 90th percentile of the incast completion time,
 // against the theoretical optimum (receiver link saturated).
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
+#include "common.h"
 #include "harness/experiments.h"
 #include "harness/flow_factory.h"
 #include "topo/micro_topo.h"
 
-namespace ndpsim {
+namespace ndpsim::figures {
 namespace {
 
-struct trial_result {
-  double median_ms;
-  double p90_ms;
-};
+constexpr std::uint64_t kSeed = 100;  // trial t runs on seed kSeed + t
 
-trial_result run_trials(protocol proto, std::uint64_t bytes, int n_trials) {
+metrics run_trials(protocol proto, std::uint64_t bytes, int n_trials,
+                   sim_env& first_env) {
   sample_set completion_ms;
-  for (int trial = 0; trial < n_trials; ++trial) {
-    sim_env env(100 + trial);
+  for_each_trial(first_env, kSeed, n_trials, [&](sim_env& env) {
     fabric_params fp;
     fp.proto = proto;
     if (proto == protocol::tcp) {
@@ -56,40 +51,33 @@ trial_result run_trials(protocol proto, std::uint64_t bytes, int n_trials) {
       if (f->complete()) last = std::max(last, to_us(f->completion_time()));
     }
     completion_ms.add(last / 1000.0);
-  }
-  return trial_result{completion_ms.median(), completion_ms.quantile(0.90)};
+  });
+  return {{"median_ms", completion_ms.median()},
+          {"p90_ms", completion_ms.quantile(0.90)},
+          {"optimal_ms",
+           incast_optimal_us(7, bytes, 9000, gbps(10), from_us(18)) / 1000.0}};
 }
-
-void BM_incast7to1(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  const std::uint64_t kb = static_cast<std::uint64_t>(state.range(1));
-  trial_result r{};
-  for (auto _ : state) r = run_trials(proto, kb * 1000, 9);
-  state.counters["median_ms"] = r.median_ms;
-  state.counters["p90_ms"] = r.p90_ms;
-  state.counters["optimal_ms"] =
-      incast_optimal_us(7, kb * 1000, 9000, gbps(10), from_us(18)) / 1000.0;
-  state.SetLabel(std::string(to_string(proto)) + " " + std::to_string(kb) +
-                 "KB");
-}
-
-BENCHMARK(BM_incast7to1)
-    ->ArgsProduct({{static_cast<int>(protocol::ndp),
-                    static_cast<int>(protocol::tcp)},
-                   {10, 50, 100, 250, 500, 1000}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-}  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
-      "Fig 9: 7:1 incast completion time vs response size (testbed topology)",
-      "NDP within ~5% of the optimum and its 90th percentile within 10% of "
-      "its median; TCP ~4x slower in the median with a 90th percentile blown "
-      "up by 200ms RTOs");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+figure fig09_testbed_incast() {
+  return {"fig09",
+          "Fig 9: 7:1 incast completion time vs response size (testbed topology)",
+          "NDP within ~5% of the optimum and its 90th percentile within 10% of "
+          "its median; TCP ~4x slower in the median with a 90th percentile "
+          "blown up by 200ms RTOs",
+          [](scale) {
+            std::vector<point> pts;
+            for (const std::uint64_t kb : {10, 50, 100, 250, 500, 1000}) {
+              for (const protocol proto : {protocol::ndp, protocol::tcp}) {
+                pts.push_back({std::string(to_string(proto)) + " " +
+                                   std::to_string(kb) + "KB",
+                               kSeed,
+                               std::bind_front(run_trials, proto, kb * 1000, 9)});
+              }
+            }
+            return pts;
+          }};
 }
+
+}  // namespace ndpsim::figures

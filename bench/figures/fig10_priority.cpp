@@ -2,22 +2,21 @@
 // flow while six long flows hammer it.  With the short flow's PULLs placed
 // in a higher priority class, its completion time stays within tens of
 // microseconds of the idle-network time; without, it gets a 1/7 fair share.
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
+#include "common.h"
 #include "harness/experiments.h"
 #include "harness/flow_factory.h"
 #include "topo/micro_topo.h"
 
-namespace ndpsim {
+namespace ndpsim::figures {
 namespace {
+
+constexpr std::uint64_t kSeed = 500;  // trial t runs on seed kSeed + t
 
 enum class mode { idle, with_priority, without_priority };
 
-sample_set run_mode(mode m, std::uint64_t bytes, int trials) {
+metrics run_mode(mode m, std::uint64_t bytes, int trials, sim_env& first_env) {
   sample_set fct_us;
-  for (int t = 0; t < trials; ++t) {
-    sim_env env(500 + t);
+  for_each_trial(first_env, kSeed, trials, [&](sim_env& env) {
     fabric_params fp;
     fp.proto = protocol::ndp;
     single_switch topo(env, 8, gbps(10), from_us(1),
@@ -39,37 +38,28 @@ sample_set run_mode(mode m, std::uint64_t bytes, int trials) {
     flow& f = flows.create(protocol::ndp, 6, 7, so);
     run_until_complete(env, {&f}, env.now() + from_ms(100));
     fct_us.add(f.fct_us());
-  }
-  return fct_us;
+  });
+  return {{"fct_us_median", fct_us.median()},
+          {"fct_us_p90", fct_us.quantile(0.90)}};
 }
-
-void BM_priority(benchmark::State& state) {
-  const auto m = static_cast<mode>(state.range(0));
-  sample_set s;
-  for (auto _ : state) s = run_mode(m, 200'000, 15);
-  state.counters["fct_us_median"] = s.median();
-  state.counters["fct_us_p90"] = s.quantile(0.90);
-  state.SetLabel(m == mode::idle               ? "idle"
-                 : m == mode::with_priority    ? "with prioritization"
-                                               : "without prioritization");
-}
-
-BENCHMARK(BM_priority)
-    ->Arg(static_cast<int>(mode::idle))
-    ->Arg(static_cast<int>(mode::with_priority))
-    ->Arg(static_cast<int>(mode::without_priority))
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-}  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
-      "Fig 10: prioritizing a 200KB flow over six long flows to one host",
-      "FCT with priority within ~50us of idle; without priority ~500us "
-      "slower (fair 1/7 share)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+figure fig10_priority() {
+  return {"fig10",
+          "Fig 10: prioritizing a 200KB flow over six long flows to one host",
+          "FCT with priority within ~50us of idle; without priority ~500us "
+          "slower (fair 1/7 share)",
+          [](scale) {
+            auto body = [](mode m) {
+              return std::bind_front(run_mode, m, 200'000, 15);
+            };
+            return std::vector<point>{
+                {"idle", kSeed, body(mode::idle)},
+                {"with prioritization", kSeed, body(mode::with_priority)},
+                {"without prioritization", kSeed,
+                 body(mode::without_priority)}};
+          }};
 }
+
+}  // namespace ndpsim::figures

@@ -6,19 +6,16 @@
 // 9K packets: the Perfect curve saturates at IW~15.  The prototype buffers
 // ~10 extra packets of host processing (36us per direction), pushing the
 // knee to IW~25 — exactly the paper's observation.
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
+#include "common.h"
 #include "harness/flow_factory.h"
 #include "harness/queue_factory.h"
 #include "host/artifacts.h"
 #include "topo/micro_topo.h"
 
-namespace ndpsim {
+namespace ndpsim::figures {
 namespace {
 
-double run_iw(std::uint32_t iw, bool host_delays) {
-  sim_env env(3);
+metrics run_iw(std::uint32_t iw, bool host_delays, sim_env& env) {
   fabric_params fp;
   fp.proto = protocol::ndp;
   const simtime_t delay =
@@ -35,33 +32,30 @@ double run_iw(std::uint32_t iw, bool host_delays) {
   env.events.run_until(from_ms(5));
   const std::uint64_t base = f.payload_received();
   env.events.run_until(from_ms(15));
-  return static_cast<double>(f.payload_received() - base) * 8 /
-         to_sec(from_ms(10)) / 1e9;
+  return {{"throughput_gbps", static_cast<double>(f.payload_received() - base) *
+                                  8 / to_sec(from_ms(10)) / 1e9}};
 }
-
-void BM_iw(benchmark::State& state) {
-  const auto iw = static_cast<std::uint32_t>(state.range(0));
-  const bool host_delays = state.range(1) != 0;
-  double gbps_measured = 0;
-  for (auto _ : state) gbps_measured = run_iw(iw, host_delays);
-  state.counters["throughput_gbps"] = gbps_measured;
-  state.SetLabel(host_delays ? "Experimental (host delays)" : "Perfect");
-}
-
-BENCHMARK(BM_iw)
-    ->ArgsProduct({{1, 2, 4, 8, 12, 15, 20, 25, 32, 64, 128, 256}, {0, 1}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-}  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
-      "Fig 11: throughput vs initial window, back-to-back hosts",
-      "Perfect saturates 10G at IW~15; with host processing delays the knee "
-      "moves to IW~25 (the prototype's extra ~10 buffered packets)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+figure fig11_iw_throughput() {
+  return {"fig11", "Fig 11: throughput vs initial window, back-to-back hosts",
+          "Perfect saturates 10G at IW~15; with host processing delays the "
+          "knee moves to IW~25 (the prototype's extra ~10 buffered packets)",
+          [](scale) {
+            std::vector<point> pts;
+            for (const bool host_delays : {false, true}) {
+              for (const std::uint32_t iw :
+                   {1, 2, 4, 8, 12, 15, 20, 25, 32, 64, 128, 256}) {
+                pts.push_back({std::string(host_delays
+                                               ? "Experimental (host delays)"
+                                               : "Perfect") +
+                                   " IW=" + std::to_string(iw),
+                               3, std::bind_front(run_iw, iw, host_delays)});
+              }
+            }
+            return pts;
+          }};
 }
+
+}  // namespace ndpsim::figures

@@ -17,26 +17,15 @@
 // read as a literal reproduction of the paper's fabric.  Each run emits the
 // effective ratio actually wired — host ingress capacity over ToR uplink
 // capacity, from the instantiated queues, not the config knob — as the
-// `effective_oversubscription` counter in the benchmark JSON so downstream
-// consumers can see what fabric the numbers came from.
-#include <benchmark/benchmark.h>
-
-#include "bench_util.h"
+// `effective_oversubscription` metric so downstream consumers can see what
+// fabric the numbers came from.
+#include "common.h"
 #include "harness/experiments.h"
 #include "workload/closed_loop.h"
 #include "workload/size_distributions.h"
 
-namespace ndpsim {
+namespace ndpsim::figures {
 namespace {
-
-struct load_result {
-  double median_ms;
-  double p90_ms;
-  double p99_ms;
-  double completed;
-  double trim_frac_tor;
-  double effective_oversubscription;
-};
 
 /// The ratio actually wired into the instantiated fabric: aggregate host
 /// ingress capacity per ToR over aggregate ToR uplink capacity (computed
@@ -54,15 +43,16 @@ double effective_ratio(const fat_tree& ft) {
   return uplink_out > 0 ? host_in / uplink_out : 0.0;
 }
 
-load_result run_load(protocol proto, unsigned conns_per_host) {
+metrics run_load(scale sc, protocol proto, unsigned conns_per_host,
+                 sim_env& env) {
   fabric_params fp;
   fp.proto = proto;
   fp.mtu_bytes = 1500;  // web traffic: small packets
-  const unsigned k = bench::paper_scale() ? 8 : 4;  // 512 or 64 hosts at 4:1
-  auto bed = make_fat_tree_testbed(23, k, fp, /*oversubscription=*/4);
+  const unsigned k = sc == scale::paper ? 8 : 4;  // 512 or 64 hosts at 4:1
+  testbed bed(env, {.k = k, .oversubscription = 4}, fp);
 
   closed_loop_generator gen(
-      bed->env, bed->topo->n_hosts(), conns_per_host, facebook_web_sizes(),
+      bed.env, bed.topo->n_hosts(), conns_per_host, facebook_web_sizes(),
       from_ms(1),
       [&](std::uint32_t src, std::uint32_t dst, std::uint64_t bytes,
           simtime_t start, std::function<void()> done) {
@@ -72,61 +62,44 @@ load_result run_load(protocol proto, unsigned conns_per_host) {
         o.mss_bytes = 1500;
         o.handshake = false;
         o.min_rto = from_ms(1);
-        flow& f = bed->flows->create(proto, src, dst, o);
+        flow& f = bed.flows->create(proto, src, dst, o);
         f.on_complete(std::move(done));
       });
   gen.start();
-  bed->env.events.run_until(from_ms(bench::paper_scale() ? 120 : 80));
+  bed.env.events.run_until(from_ms(sc == scale::paper ? 120 : 80));
   gen.stop();
 
-  load_result r{};
   const auto& fct = gen.fcts().fct_us();
-  r.median_ms = fct.median() / 1000.0;
-  r.p90_ms = fct.quantile(0.90) / 1000.0;
-  r.p99_ms = fct.quantile(0.99) / 1000.0;
-  r.completed = static_cast<double>(gen.fcts().completed());
-  const auto tor_up = bed->topo->aggregate_stats(link_level::tor_up);
-  r.trim_frac_tor =
-      tor_up.arrivals > 0
-          ? static_cast<double>(tor_up.trimmed) /
-                static_cast<double>(tor_up.arrivals)
-          : 0.0;
-  r.effective_oversubscription = effective_ratio(*bed->topo);
-  return r;
+  const auto tor_up = bed.topo->aggregate_stats(link_level::tor_up);
+  return {{"median_ms", fct.median() / 1000.0},
+          {"p90_ms", fct.quantile(0.90) / 1000.0},
+          {"p99_ms", fct.quantile(0.99) / 1000.0},
+          {"flows_completed", static_cast<double>(gen.fcts().completed())},
+          {"tor_uplink_trim_frac",
+           tor_up.arrivals > 0 ? static_cast<double>(tor_up.trimmed) /
+                                     static_cast<double>(tor_up.arrivals)
+                               : 0.0},
+          {"effective_oversubscription", effective_ratio(*bed.topo)}};
 }
-
-void BM_oversubscribed(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  const auto conns = static_cast<unsigned>(state.range(1));
-  load_result r{};
-  for (auto _ : state) r = run_load(proto, conns);
-  state.counters["median_ms"] = r.median_ms;
-  state.counters["p90_ms"] = r.p90_ms;
-  state.counters["p99_ms"] = r.p99_ms;
-  state.counters["flows_completed"] = r.completed;
-  state.counters["tor_uplink_trim_frac"] = r.trim_frac_tor;
-  state.counters["effective_oversubscription"] = r.effective_oversubscription;
-  state.SetLabel(std::string(to_string(proto)) +
-                 (conns <= 5 ? " medium load" : " high load"));
-}
-
-BENCHMARK(BM_oversubscribed)
-    ->ArgsProduct({{static_cast<int>(protocol::ndp),
-                    static_cast<int>(protocol::dctcp)},
-                   {5, 10}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-}  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
-      "Fig 23: Facebook web workload, 4:1 oversubscribed fabric",
-      "medium load: NDP median FCT ~half DCTCP's, ~1/3 at the 99th; high "
-      "load (~70% ToR trimming): NDP still slightly ahead in median and "
-      "tail, and no congestion collapse");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+figure fig23_oversubscribed() {
+  return {"fig23", "Fig 23: Facebook web workload, 4:1 oversubscribed fabric",
+          "medium load: NDP median FCT ~half DCTCP's, ~1/3 at the 99th; high "
+          "load (~70% ToR trimming): NDP still slightly ahead in median and "
+          "tail, and no congestion collapse",
+          [](scale sc) {
+            std::vector<point> pts;
+            for (const unsigned conns : {5u, 10u}) {
+              for (const protocol proto : {protocol::ndp, protocol::dctcp}) {
+                pts.push_back({std::string(to_string(proto)) +
+                                   (conns <= 5 ? " medium load" : " high load"),
+                               23, std::bind_front(run_load, sc, proto, conns)});
+              }
+            }
+            return pts;
+          }};
 }
+
+}  // namespace ndpsim::figures

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "sim/assert.h"
 
@@ -40,20 +39,6 @@ double sample_set::mean_lowest(double frac) const {
       1, static_cast<std::size_t>(frac * static_cast<double>(samples_.size())));
   return std::accumulate(samples_.begin(), samples_.begin() + n, 0.0) /
          static_cast<double>(n);
-}
-
-std::string sample_set::cdf_rows(std::size_t max_rows) const {
-  ensure_sorted();
-  std::ostringstream os;
-  if (samples_.empty()) return {};
-  const std::size_t n = samples_.size();
-  const std::size_t step = std::max<std::size_t>(1, n / max_rows);
-  for (std::size_t i = 0; i < n; i += step) {
-    os << samples_[i] << " "
-       << static_cast<double>(i + 1) / static_cast<double>(n) << "\n";
-  }
-  if ((n - 1) % step != 0) os << samples_[n - 1] << " 1\n";
-  return os.str();
 }
 
 }  // namespace ndpsim

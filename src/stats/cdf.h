@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace ndpsim {
@@ -10,7 +9,6 @@ namespace ndpsim {
 class sample_set {
  public:
   void add(double v) { samples_.push_back(v); sorted_ = false; }
-  void clear() { samples_.clear(); sorted_ = false; }
 
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
@@ -23,11 +21,6 @@ class sample_set {
   [[nodiscard]] double mean() const;
   /// Mean of the lowest `frac` fraction of samples (paper's "worst 10%").
   [[nodiscard]] double mean_lowest(double frac) const;
-
-  [[nodiscard]] const std::vector<double>& raw() const { return samples_; }
-
-  /// CDF rows "value cum_fraction" at each sample, thinned to <= max_rows.
-  [[nodiscard]] std::string cdf_rows(std::size_t max_rows = 50) const;
 
  private:
   void ensure_sorted() const;

@@ -69,22 +69,31 @@ TEST(integration, ndp_incast_near_optimal_dctcp_close_mptcp_poor) {
 }
 
 TEST(integration, trimming_is_where_the_paper_says) {
-  // §3 "Congestion Control": almost all trimming happens on ToR->host
-  // links; uplinks see essentially nothing under permutation traffic.
+  // §3 "Congestion Control": with per-packet spraying, trimming happens on
+  // the downlinks where flows converge, not on the uplinks.  A random matrix
+  // gives some hosts several senders, so trimming must occur, and fewer than
+  // 20% of all trims may be on the ToR and aggregation uplinks.
   fabric_params fp;
   fp.proto = protocol::ndp;
   auto bed = make_fat_tree_testbed(21, 4, fp);
-  flow_options o;
-  (void)run_permutation(*bed, protocol::ndp, o, from_ms(2), from_ms(4));
-  const auto up = bed->topo->aggregate_stats(link_level::agg_up);
-  const auto down = bed->topo->aggregate_stats(link_level::tor_down);
-  EXPECT_GE(down.trimmed + up.trimmed, 0u);
-  if (down.trimmed + up.trimmed > 0) {
-    const double up_frac =
-        static_cast<double>(up.trimmed) /
-        static_cast<double>(up.trimmed + down.trimmed);
-    EXPECT_LT(up_frac, 0.2);
+  const std::size_t n = bed->topo->n_hosts();
+  const auto matrix = random_matrix(bed->env.rng, n);
+  for (std::uint32_t h = 0; h < n; ++h) {
+    flow_options o;
+    o.start =
+        static_cast<simtime_t>(bed->env.rand_below(100)) * kMicrosecond / 10;
+    bed->flows->create(protocol::ndp, h, matrix[h], o);
   }
+  bed->env.events.run_until(from_ms(4));
+  std::uint64_t all = 0;
+  for (int l = 0; l <= static_cast<int>(link_level::tor_down); ++l) {
+    all += bed->topo->aggregate_stats(static_cast<link_level>(l)).trimmed;
+  }
+  const std::uint64_t up =
+      bed->topo->aggregate_stats(link_level::tor_up).trimmed +
+      bed->topo->aggregate_stats(link_level::agg_up).trimmed;
+  ASSERT_GT(all, 0u);
+  EXPECT_LT(static_cast<double>(up) / static_cast<double>(all), 0.2);
 }
 
 TEST(integration, dcqcn_completes_incast_losslessly) {

@@ -41,13 +41,6 @@ TEST(sample_set, add_after_quantile_resorts) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(sample_set, cdf_rows_end_at_one) {
-  sample_set s;
-  for (int i = 0; i < 200; ++i) s.add(i);
-  const std::string rows = s.cdf_rows(10);
-  EXPECT_NE(rows.find(" 1\n"), std::string::npos);
-}
-
 TEST(sample_set, empty_quantile_throws) {
   sample_set s;
   EXPECT_THROW(s.median(), simulation_error);
