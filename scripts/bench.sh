@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build Release and refresh BENCH_eventcore.json at the repo root: the
-# event-core microbenchmark (new scheduler vs embedded legacy baseline), the
-# flow-churn recycling benchmark, representative figure runs, the
-# serial-vs-parallel sweep and the campaign-engine section (streaming vs
+# scheduler, route-setup, fabric-setup and packet-path microbenchmarks, the
+# flow-churn recycling benchmark, representative figure runs, flat-dispatch
+# and telemetry timings, and the campaign-engine section (streaming vs
 # keep-all RSS, resume identity).
 #
 # Usage: scripts/bench.sh [output.json]

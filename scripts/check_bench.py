@@ -7,9 +7,13 @@ Compares the rate metrics that are stable across iteration counts (figure
 events/sec, scheduler ops/sec, flow-churn flows/sec, route-setup routes/sec,
 fabric-setup instantiations/sec, flat-dispatch events/sec): the candidate
 may not fall more than `tolerance` below the committed value.  Being faster
-is never an error.  Metrics present in only one file are skipped, so the
-check keeps working while benchmark sections are added (and while --quick
-runs omit the k=32 fabric-setup/figure entries).
+is never an error.  Every rate the committed baseline gates must be present
+in the candidate, so deleting a section or key cannot retire its gate
+unseen; the only exceptions are the full-run-only keys that --quick omits
+by design (QUICK_OMITTED).  A rate only the candidate has is skipped, so new
+sections can land before the baseline is refreshed.  Figures whose
+committed wall time is below MIN_FIGURE_WALL_SEC are not gated; that choice
+reads the committed entry only, so a fast candidate run cannot drop a key.
 
 Structural gates ride along: the candidate's flat_dispatch section must
 exist, be non-diverged and >= 1.2x (PR 6); the committed baseline's
@@ -38,6 +42,13 @@ import sys
 # Figures whose committed wall time is below this are skipped: a run of a
 # few milliseconds measures scheduler jitter, not the simulator.
 MIN_FIGURE_WALL_SEC = 0.03
+
+# Rate keys a --quick candidate omits by design (the k=32 figure and fabric
+# setup run in full runs only).  Every other committed key is required.
+QUICK_OMITTED = {
+    "figures.permutation_ndp_k32.events_per_sec",
+    "fabric_setup.k32.instantiates_per_sec",
+}
 
 # Absolute floor on the COMMITTED k=32 figure.  The packet-layout PR reset
 # this from the flat-dispatch PR's 2.5M: interleaved same-machine A/B puts
@@ -86,8 +97,6 @@ def rate_metrics(doc):
         out["flow_churn.recycling_flows_per_sec"] = churn["recycling"].get(
             "flows_per_sec")
     for fig in doc.get("figures", []):
-        if fig.get("wall_seconds", 0) < MIN_FIGURE_WALL_SEC:
-            continue
         out[f"figures.{fig['name']}.events_per_sec"] = fig.get(
             "events_per_sec")
     fd = doc.get("flat_dispatch", {})
@@ -105,6 +114,14 @@ def rate_metrics(doc):
     if "jobs_per_sec" in camp:
         out["campaign.jobs_per_sec"] = camp["jobs_per_sec"]
     return {k: v for k, v in out.items() if isinstance(v, (int, float))}
+
+
+def short_figures(doc):
+    """Rate keys of the figures whose wall time in `doc` is too short to
+    gate (see MIN_FIGURE_WALL_SEC)."""
+    return {f"figures.{fig['name']}.events_per_sec"
+            for fig in doc.get("figures", [])
+            if fig.get("wall_seconds", 0) < MIN_FIGURE_WALL_SEC}
 
 
 def check_flat_dispatch(doc):
@@ -200,6 +217,8 @@ def main():
     with open(args.committed) as f:
         committed_doc = json.load(f)
     committed = rate_metrics(committed_doc)
+    for key in short_figures(committed_doc):
+        committed.pop(key, None)
     with open(args.candidate) as f:
         candidate_doc = json.load(f)
     candidate = rate_metrics(candidate_doc)
@@ -218,6 +237,11 @@ def main():
         structural_failures.append(
             f"committed {K32_FIGURE} at {k32_rate:.0f} events/s is below "
             f"the {K32_FLOOR_EVENTS_PER_SEC:.0f} floor")
+    missing = sorted(set(committed) - set(candidate) - QUICK_OMITTED)
+    for key in missing:
+        structural_failures.append(
+            f"{key} is in the committed baseline but missing from the "
+            "candidate")
     for msg in structural_failures:
         print(f"STRUCTURAL FAILURE: {msg}")
 

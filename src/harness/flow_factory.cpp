@@ -226,24 +226,15 @@ phost_token_pacer& flow_factory::phost_pacer(std::uint32_t host) {
 flow& flow_factory::create(protocol proto, std::uint32_t src,
                            std::uint32_t dst, const flow_options& opts) {
   NDPSIM_ASSERT(src != dst);
-  // MPTCP subflows use a block of ids.  Recycled blocks (exact span match)
-  // are preferred over fresh ids so long-running churn keeps the id space —
-  // and with it every per-host demux — at its steady-state size.  Taken
-  // from the FRONT of the free queue: the id that has been dead longest is
-  // the one whose stale packets have had the most time to drain.
+  // MPTCP subflows use a block of ids; everything else one fresh id.
   const std::uint32_t span =
       proto == protocol::mptcp ? opts.subflows + 1 : 1;
   const unsigned subflows =
       static_cast<unsigned>(std::max<std::uint32_t>(1, opts.subflows));
-  std::uint32_t fid;
-  auto freed = free_ids_.find(span);
-  if (freed != free_ids_.end() && !freed->second.empty()) {
-    fid = freed->second.front();
-    freed->second.pop_front();
-  } else {
-    fid = next_flow_id_;
-    next_flow_id_ += span;
-  }
+  NDPSIM_ASSERT_MSG(next_flow_id_ <= UINT32_MAX - span,
+                    "flow id space exhausted");
+  const std::uint32_t fid = next_flow_id_;
+  next_flow_id_ += span;
 
   // The connection's borrowed path view, drawn here so the factory can hand
   // pooled subsets back to the table when the flow is destroyed.
@@ -300,7 +291,6 @@ flow& flow_factory::create(protocol proto, std::uint32_t src,
       break;
   }
   f->id = fid;
-  f->id_span_ = span;
   f->src = src;
   f->dst = dst;
   f->bytes = opts.bytes;
@@ -325,7 +315,6 @@ void flow_factory::destroy(flow& f) {
                     "destroying a flow this factory does not own");
   f.retire();  // transports first: timers cancelled, demux entries unbound
   topo_.paths().release(f.paths);  // then the pooled subset arrays
-  free_ids_[f.id_span_].push_back(f.id);
   const std::uint32_t slot = f.slot_;
   flows_[slot].reset();  // f is dead from here
   free_slots_.push_back(slot);

@@ -3,7 +3,6 @@
 // token pacers).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -91,7 +90,6 @@ class flow {
  private:
   friend class flow_factory;
   std::uint32_t slot_ = UINT32_MAX;  ///< index in the factory's flow table
-  std::uint32_t id_span_ = 1;        ///< ids consumed (MPTCP uses a block)
 };
 
 class flow_factory {
@@ -116,11 +114,11 @@ class flow_factory {
 
   /// Create/destroy symmetry (flow recycling): retire the flow's transports
   /// (cancel timers, leave pacer rings, unbind demux entries), return its
-  /// pooled path subset to the topology's path table, free the flow object
-  /// and recycle its id (block) for a future `create`.  The reference — and
-  /// every pointer to the flow — is dead after this call.  Must not be
-  /// called from inside one of the flow's own callbacks (defer to a
-  /// scheduled event; `flow_recycler` does).
+  /// pooled path subset to the topology's path table and free the flow
+  /// object; its table slot is reused by a future `create`, its id (block)
+  /// never is.  The reference — and every pointer to the flow — is dead
+  /// after this call.  Must not be called from inside one of the flow's own
+  /// callbacks (defer to a scheduled event; `flow_recycler` does).
   void destroy(flow& f);
 
   /// The shared per-host pull pacer (created on demand).
@@ -145,16 +143,13 @@ class flow_factory {
   topology& topo_;
   std::vector<std::unique_ptr<flow>> flows_;
   std::vector<std::uint32_t> free_slots_;
-  // Recycled flow-id blocks, keyed by block span (MPTCP consumes
-  // `subflows + 1` ids; everything else 1).  Reuse is exact-span so a
-  // recycled block can never partially overlap a live one, and FIFO so a
-  // just-freed id goes to the back of the queue: the longest-dead id is
-  // rebound first, maximizing the time between teardown and reuse that the
-  // stale-drop window relies on.
-  std::unordered_map<std::uint32_t, std::deque<std::uint32_t>> free_ids_;
   std::unordered_map<std::uint32_t, std::unique_ptr<pull_pacer>> pull_pacers_;
   std::unordered_map<std::uint32_t, std::unique_ptr<phost_token_pacer>>
       token_pacers_;
+  /// Next fresh flow id.  Ids only grow and are never reused after
+  /// `destroy`: a stale packet of a dead flow then always meets an unbound
+  /// demux entry (and dies there) instead of another flow's endpoint — the
+  /// connection-id uniqueness a transport's time-wait state exists to give.
   std::uint32_t next_flow_id_ = 1;
   std::size_t live_ = 0;
   std::uint64_t destroyed_ = 0;

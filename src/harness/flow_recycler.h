@@ -11,15 +11,15 @@
 //      control traffic addressed to it still find their endpoints,
 //   3. tears the transport pair down through `flow_factory::destroy`
 //      (timers cancelled, pacer rings left, demux entries unbound, pooled
-//      path subset returned, flow id recycled), and
+//      path subset returned; the flow id is never reused), and
 //   4. starts the replacement: immediately (closed loop, optional think
 //      gap) or on the next draw of a Poisson arrival process (open loop).
 //
 // Teardown never happens inside a transport callback — completions only
 // queue the flow; the destruction runs from the recycler's own scheduled
-// event.  Stale packets that outlive the linger window are dropped at the
-// demux (`path_table::enable_stale_drop`, armed by the recycler) instead of
-// being misdelivered to the id's next owner.
+// event.  Stale packets that outlive the linger window find their flow id
+// unbound and are dropped at the demux (`path_table::enable_stale_drop`,
+// armed by the recycler).
 #pragma once
 
 #include <cstdint>

@@ -34,8 +34,9 @@ namespace ndpsim {
 /// A delivered packet whose flow has no endpoint is a hard error by default
 /// (a silently dropped packet usually means a wiring bug).  Recycling changes
 /// that: after a flow is torn down, packets already in flight for it may
-/// still arrive, and they must be dropped — not misdelivered to whichever
-/// flow inherits the id next.  `set_stale_pool` opts into that mode: unbound
+/// still arrive, and they must be dropped.  Flow ids are never reused, so
+/// such a packet always finds its id unbound and cannot reach another
+/// flow's endpoint.  `set_stale_pool` opts into that mode: unbound
 /// deliveries are returned to the packet pool and counted instead.
 class flow_demux final : public packet_sink {
  public:
@@ -121,7 +122,7 @@ class flow_demux final : public packet_sink {
   /// Opt into dropping deliveries for unbound flows (returning the packet to
   /// `pool`) instead of treating them as a wiring bug.  Required once flows
   /// are recycled: packets still in flight when their flow is torn down are
-  /// stale, and must die here rather than reach the id's next owner.
+  /// stale, and must die here.
   void set_stale_pool(packet_pool* pool) { stale_pool_ = pool; }
   [[nodiscard]] std::uint64_t stale_drops() const { return stale_drops_; }
 

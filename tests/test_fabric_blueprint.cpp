@@ -2,9 +2,11 @@
 // per-env fabric_instances.  Covers blueprint geometry, lazy name
 // formatting, structural-path interning shared across instances, mutable
 // state isolation between instances of one blueprint, and serial-vs-parallel
-// determinism of a sweep over a shared blueprint.
+// determinism of a sweep over a shared blueprint (bitwise equal to the same
+// sweep over private fabrics, in less resident fabric memory).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
 #include "harness/experiments.h"
@@ -189,10 +191,13 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
   // One blueprint, N jobs: parallel and serial execution must produce
   // bitwise-identical per-config FCT records (the structural table interns
   // lazily under contention in the parallel case — order differs, content
-  // must not).
+  // must not).  The same sweep over private fabrics (every job builds its
+  // own blueprint) must match it too, while holding more fabric memory.
   fabric_params fp;
   fp.proto = protocol::ndp;
   auto bp = make_fat_tree_blueprint(4, fp);
+  std::atomic<std::size_t> shared_bytes{0};
+  std::atomic<std::size_t> private_bytes{0};
 
   std::vector<experiment_config> sweep;
   for (int i = 0; i < 4; ++i) {
@@ -200,9 +205,8 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
                                       .seed = 100u + static_cast<unsigned>(i),
                                       .param = i});
   }
-  auto body = [&bp, &fp](const experiment_config& cfg, sim_env& env,
-                         fct_recorder& fcts) {
-    testbed bed(env, bp, fp);
+  auto sweep_body = [&fp](const experiment_config& cfg, sim_env& env,
+                          fct_recorder& fcts, testbed& bed) {
     flow_options o;
     o.bytes = (10 + static_cast<std::uint64_t>(cfg.param)) * 8936;
     o.max_paths = 2;
@@ -219,27 +223,54 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
       if (f->complete()) fcts.flow_completed(f->id, f->completion_time());
     }
   };
+  // Resident fabric memory of one job: instance + per-env path table (a
+  // shared blueprint is counted once below, a private one per job).
+  auto instance_bytes = [](const testbed& bed) {
+    return bed.topo->resident_bytes() + bed.topo->paths().resident_bytes();
+  };
+  auto shared_body = [&](const experiment_config& cfg, sim_env& env,
+                         fct_recorder& fcts) {
+    testbed bed(env, bp, fp);
+    sweep_body(cfg, env, fcts, bed);
+    shared_bytes += instance_bytes(bed);
+  };
+  auto private_body = [&](const experiment_config& cfg, sim_env& env,
+                          fct_recorder& fcts) {
+    testbed bed(env, ft_cfg(4), fp);
+    sweep_body(cfg, env, fcts, bed);
+    private_bytes +=
+        instance_bytes(bed) + bed.topo->blueprint()->resident_bytes();
+  };
 
   parallel_runner serial(1);
   parallel_runner pool(4);
-  const auto a = serial.run(sweep, body);
-  const auto b = pool.run(sweep, body);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].fcts.records().size(), b[i].fcts.records().size());
-    for (std::size_t j = 0; j < a[i].fcts.records().size(); ++j) {
-      const auto& ra = a[i].fcts.records()[j];
-      const auto& rb = b[i].fcts.records()[j];
-      EXPECT_EQ(ra.flow_id, rb.flow_id);
-      EXPECT_EQ(ra.start, rb.start);
-      EXPECT_EQ(ra.end, rb.end);
-      EXPECT_EQ(ra.bytes, rb.bytes);
+  const auto a = serial.run(sweep, shared_body);
+  shared_bytes = 0;  // measure one sweep: the parallel one below
+  const auto b = pool.run(sweep, shared_body);
+  const auto c = pool.run(sweep, private_body);
+  auto expect_identical = [](const std::vector<experiment_outcome>& x,
+                             const std::vector<experiment_outcome>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i].fcts.records().size(), y[i].fcts.records().size());
+      for (std::size_t j = 0; j < x[i].fcts.records().size(); ++j) {
+        const auto& rx = x[i].fcts.records()[j];
+        const auto& ry = y[i].fcts.records()[j];
+        EXPECT_EQ(rx.flow_id, ry.flow_id);
+        EXPECT_EQ(rx.start, ry.start);
+        EXPECT_EQ(rx.end, ry.end);
+        EXPECT_EQ(rx.bytes, ry.bytes);
+      }
+      EXPECT_EQ(x[i].events_processed, y[i].events_processed);
+      EXPECT_EQ(x[i].sim_end, y[i].sim_end);
     }
-    EXPECT_EQ(a[i].events_processed, b[i].events_processed);
-    EXPECT_EQ(a[i].sim_end, b[i].sim_end);
-  }
+  };
+  expect_identical(a, b);
+  expect_identical(b, c);
   // Every job completed its incast.
   for (const auto& out : a) EXPECT_EQ(out.fcts.completed(), 5u);
+  // One resident blueprint for the whole sweep beats one per job.
+  EXPECT_LT(shared_bytes.load() + bp->resident_bytes(), private_bytes.load());
 }
 
 TEST(fabric_blueprint, make_route_pair_resolves_same_sinks_as_shared_routes) {
