@@ -1,9 +1,13 @@
 // The flow lifecycle engine: create/destroy symmetry, never-reused flow ids,
-// pooled path subsets, demux shrink + stale-packet handling, and the
-// closed-loop flow_recycler.
+// pooled path subsets, demux shrink + stale-packet handling, the
+// closed-loop flow_recycler, and the packet pool's order never reaching
+// results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "harness/experiments.h"
 #include "harness/flow_recycler.h"
@@ -11,6 +15,7 @@
 #include "sim/assert.h"
 #include "topo/fat_tree.h"
 #include "topo/path_table.h"
+#include "workload/size_distributions.h"
 #include "test_util.h"
 
 namespace ndpsim {
@@ -363,6 +368,98 @@ TEST(flow_lifecycle, recycler_works_for_every_transport) {
     EXPECT_GE(rec.flows_recycled(), 8u) << to_string(proto);
     EXPECT_EQ(rec.fcts().completed(), 12u) << to_string(proto);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pool order never reaches results: packet addresses do not feed the model,
+// so a pool whose free list was scrambled before the run must produce the
+// same FCT records and event count as a fresh one.
+// ---------------------------------------------------------------------------
+
+struct churn_outcome {
+  std::vector<fct_recorder::record> records;
+  std::uint64_t events = 0;
+};
+
+/// Grow `pool` by ~3,000 packets and hand them back in a seeded shuffled
+/// order, so later allocations come from a scattered LIFO free list.  The
+/// shuffle uses its own RNG: the simulator's stream must stay untouched.
+void scramble_pool(packet_pool& pool) {
+  std::vector<packet*> ps;
+  for (int i = 0; i < 3000; ++i) ps.push_back(pool.alloc());
+  std::mt19937_64 shuffle_rng(1234);
+  std::shuffle(ps.begin(), ps.end(), shuffle_rng);
+  for (packet* p : ps) pool.release(p);
+}
+
+churn_outcome run_open_loop_dctcp(bool scrambled) {
+  fabric_params fp;
+  fp.proto = protocol::dctcp;
+  auto bed = make_fat_tree_testbed(12, 4, fp);
+  if (scrambled) scramble_pool(bed->env.pool);
+  auto pick = [](sim_env& env) {
+    const auto src = static_cast<std::uint32_t>(env.rand_below(16));
+    auto dst = static_cast<std::uint32_t>(env.rand_below(15));
+    if (dst >= src) ++dst;
+    return std::make_pair(src, dst);
+  };
+  auto size = [](sim_env& env) {
+    return std::min<std::uint64_t>(facebook_web_sizes().sample(env.rng),
+                                   200'000);
+  };
+  recycler_config rc;
+  rc.proto = protocol::dctcp;
+  rc.linger = from_us(50);
+  rc.open_rate_per_sec = 300'000;
+  rc.max_starts = 300;
+  flow_recycler rec(bed->env, *bed->topo, *bed->flows, rc, pick, size);
+  rec.start(8);
+  bed->env.events.run_until(from_ms(50));
+  EXPECT_EQ(rec.flows_started(), 300u);
+  EXPECT_EQ(rec.fcts().completed(), 300u);
+  return churn_outcome{rec.fcts().records(),
+                       bed->env.events.events_processed()};
+}
+
+churn_outcome run_ndp_incast(bool scrambled) {
+  fabric_params fp;
+  fp.proto = protocol::ndp;
+  auto bed = make_fat_tree_testbed(13, 4, fp);
+  if (scrambled) scramble_pool(bed->env.pool);
+  fct_recorder fcts;
+  std::vector<flow*> flows;
+  flow_options o;
+  o.bytes = 30 * 8936;
+  for (std::uint32_t src = 1; src < 16; ++src) {
+    flow& f = bed->flows->create(protocol::ndp, src, 0, o);
+    fcts.flow_started(f.id, f.start_time, o.bytes);
+    f.on_complete(
+        [&fcts, &f] { fcts.flow_completed(f.id, f.completion_time()); });
+    flows.push_back(&f);
+  }
+  run_until_complete(bed->env, flows, from_ms(50));
+  EXPECT_EQ(fcts.completed(), 15u);
+  return churn_outcome{fcts.records(), bed->env.events.events_processed()};
+}
+
+void expect_identical(const churn_outcome& fresh,
+                      const churn_outcome& scrambled) {
+  EXPECT_EQ(fresh.events, scrambled.events);
+  ASSERT_EQ(fresh.records.size(), scrambled.records.size());
+  for (std::size_t i = 0; i < fresh.records.size(); ++i) {
+    const fct_recorder::record& a = fresh.records[i];
+    const fct_recorder::record& b = scrambled.records[i];
+    EXPECT_EQ(a.flow_id, b.flow_id) << "record " << i;
+    EXPECT_EQ(a.start, b.start) << "record " << i;
+    EXPECT_EQ(a.end, b.end) << "record " << i;
+    EXPECT_EQ(a.bytes, b.bytes) << "record " << i;
+    EXPECT_EQ(a.epoch, b.epoch) << "record " << i;
+  }
+}
+
+TEST(flow_lifecycle, pool_order_never_reaches_results) {
+  expect_identical(run_open_loop_dctcp(false), run_open_loop_dctcp(true));
+  expect_identical(run_ndp_incast(false), run_ndp_incast(true));
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "net/packet.h"
 #include "net/route.h"
 #include "net/sim_env.h"
@@ -64,62 +67,82 @@ TEST(packet_pool, released_packet_can_be_reallocated_cleanly) {
   pool.release(b);
 }
 
-TEST(packet_pool, compaction_prefers_lowest_addresses) {
-  // Release in a scrambled order across two slabs, compact, then check the
-  // pool hands back ascending pool slots: the compaction sort means the
-  // next allocation burst walks the slabs front to back.
+TEST(packet_pool, release_then_alloc_reuses_the_same_slot) {
+  // The LIFO contract: the slot released last is the next one handed out,
+  // however many other slots are free and in whatever order they came back.
+  packet_pool pool;
+  std::vector<packet*> ps;
+  for (int i = 0; i < 1500; ++i) ps.push_back(pool.alloc());
+  for (std::size_t i = 0; i < ps.size(); i += 2) pool.release(ps[i]);
+  packet* last = ps[7];
+  pool.release(last);
+  EXPECT_EQ(pool.alloc(), last);
+  // Successive releases come back in reverse order of release.
+  pool.release(ps[1]);
+  pool.release(ps[1201]);
+  pool.release(last);
+  EXPECT_EQ(pool.alloc(), last);
+  EXPECT_EQ(pool.alloc(), ps[1201]);
+  EXPECT_EQ(pool.alloc(), ps[1]);
+  EXPECT_EQ(pool.alloc(), ps[ps.size() - 2]);  // last of the even releases
+}
+
+TEST(packet_pool, double_free_detected_after_scrambled_release_and_realloc) {
+  // Release in a scrambled order across two slabs and hand some slots out
+  // again: the in-pool flag lives in the packet itself, so a stale pointer
+  // is rejected whatever the free list's order, and each slot comes back
+  // exactly once.
   packet_pool pool;
   std::vector<packet*> ps;
   for (int i = 0; i < 2000; ++i) ps.push_back(pool.alloc());
   for (std::size_t i = 0; i < ps.size(); i += 2) pool.release(ps[i]);
   for (std::size_t i = 1; i < ps.size(); i += 2) pool.release(ps[i]);
-  pool.compact();
-  // The free list is now fully sorted, so allocation replays the original
-  // ascending slot order regardless of the scrambled release order.
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(pool.alloc(), ps[i]);
+  ASSERT_EQ(pool.outstanding(), 0u);
+  std::set<packet*> again;
+  for (int i = 0; i < 300; ++i) again.insert(pool.alloc());
+  EXPECT_EQ(again.size(), 300u);  // no slot handed out twice
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    if (again.count(ps[i]) != 0) continue;
+    EXPECT_THROW(pool.release(ps[i]), simulation_error) << "slot " << i;
   }
+  EXPECT_EQ(pool.outstanding(), 300u);  // the failed releases changed nothing
+  for (packet* p : again) pool.release(p);
+  for (packet* p : again) EXPECT_THROW(pool.release(p), simulation_error);
+  EXPECT_EQ(pool.outstanding(), 0u);
 }
 
-TEST(packet_pool, double_free_detected_across_compaction) {
-  // compact() re-sorts the free list; the in-pool poison lives in the packet
-  // itself, so a stale pointer must still be rejected afterwards and the
-  // slot must come back exactly once.
-  packet_pool pool;
-  packet* a = pool.alloc();
-  packet* b = pool.alloc();
-  pool.release(b);
-  pool.release(a);
-  pool.compact();
-  EXPECT_THROW(pool.release(a), simulation_error);
-  packet* x = pool.alloc();
-  packet* y = pool.alloc();
-  EXPECT_NE(x, y);
-  EXPECT_EQ(pool.outstanding(), 2u);
-  pool.release(x);
-  pool.release(y);
-}
-
-TEST(packet_pool, compaction_preserves_outstanding_packets) {
-  // Live packets are untouched by compaction: contents, addresses and the
-  // double-free guard all survive a compact() of the free list around them.
+TEST(packet_pool, live_packets_survive_release_and_alloc_churn) {
+  // Live packets are untouched by churn around them: their slots are never
+  // handed out, and their contents and double-free guard survive many
+  // rounds of releases and allocations of the free slots in between.
   packet_pool pool;
   std::vector<packet*> live;
+  std::vector<packet*> churn;
   for (int i = 0; i < 1500; ++i) {
     packet* p = pool.alloc();
     p->seqno = static_cast<std::uint64_t>(i);
-    if (i % 3 == 0) {
-      live.push_back(p);
-    } else {
-      pool.release(p);
+    (i % 3 == 0 ? live : churn).push_back(p);
+  }
+  const std::set<packet*> live_set(live.begin(), live.end());
+  for (int round = 0; round < 20; ++round) {
+    // Release in a round-dependent order, then refill the same count.
+    const std::size_t n = churn.size();
+    for (std::size_t j = 0; j < n; ++j) {
+      pool.release(churn[(j * 7 + static_cast<std::size_t>(round)) % n]);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      churn[j] = pool.alloc();
+      ASSERT_EQ(live_set.count(churn[j]), 0u) << "live slot handed out";
+      churn[j]->seqno = ~std::uint64_t{0};
     }
   }
-  pool.compact();
   for (std::size_t i = 0; i < live.size(); ++i) {
     EXPECT_EQ(live[i]->seqno, static_cast<std::uint64_t>(3 * i));
     EXPECT_FALSE(live[i]->in_pool);
   }
+  for (packet* p : churn) pool.release(p);
   for (packet* p : live) pool.release(p);
+  EXPECT_THROW(pool.release(live.front()), simulation_error);
   EXPECT_EQ(pool.outstanding(), 0u);
 }
 
